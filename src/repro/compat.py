@@ -1,7 +1,7 @@
 """Dependency gate for the vectorized (structure-of-arrays) kernels.
 
-The SoA kernels (:mod:`repro.gpu.tilestream`,
-:mod:`repro.memory.lru_kernel`, the array rasterizer) lean on numpy
+The SoA kernels (:mod:`repro.gpu.tilestream`, ``DRAM.request_batch``,
+the array rasterizer) lean on numpy
 behaviour that has been stable for a long time — ``np.unique`` with
 ``return_index``, stable ``argsort``, boolean ``out=`` ufuncs,
 ``take_along_axis`` — but they construct every array with explicit

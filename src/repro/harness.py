@@ -29,7 +29,9 @@ Suite supervision: :func:`run_suite` runs many (benchmark, kind) pairs
 with per-benchmark wall-clock timeouts, bounded retry with backoff for
 transient faults, and graceful degradation — one failing benchmark is
 recorded in the returned :class:`SuiteReport` while every other result
-is still delivered.
+is still delivered.  Pairs run either in-process, one after another, or
+each in a monitored forked child of a
+:class:`~repro.supervision.Supervisor`; :func:`forks` decides which.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import hashlib
 import logging
 import os
 import signal
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -46,17 +49,17 @@ from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from . import cachefile
+from . import cachefile, chaos, supervision
 from .config import GPUConfig
 from .core import TileScheduler
-from .errors import (BenchmarkTimeoutError, CacheCorruptionError,
-                     ConfigValidationError, ReproError, SimulationError,
-                     is_transient)
-from .supervision import SupervisedJob, Supervisor, backoff_delay
+from .errors import (BenchmarkTimeoutError, ConfigValidationError,
+                     ReproError, SimulationError, is_transient)
+from .supervision import (SupervisedJob, SupervisionPolicy, Supervisor,
+                          backoff_delay)
 from .gpu import FrameTrace, GPUSimulator, RunResult
 from .telemetry import HUB, HarnessSpan
-from .workloads import TraceBuilder, benchmark_names, make_scene_builder
-from .workloads.traces import TRACE_FORMAT_VERSION
+from .workloads import (TraceBuilder, TraceCache, benchmark_names,
+                        make_scene_builder)
 
 logger = logging.getLogger(__name__)
 
@@ -140,29 +143,22 @@ def get_traces(benchmark: str, frames: int = FRAMES, width: int = WIDTH,
                height: int = HEIGHT) -> List[FrameTrace]:
     """Frame traces for a benchmark, built once and cached on disk.
 
-    The entry is read with integrity checking: a corrupt cache file
-    (truncated, bit-flipped, interrupted write, legacy format) is
-    quarantined with a logged warning naming the path and reason, then
-    rebuilt from the scene generator.  The advisory per-entry lock makes
-    concurrent bench runs build the traces exactly once.  A small
-    in-process memo short-circuits repeat loads within one sweep; the
-    returned list is shared, so treat it as read-only.
+    The disk entry goes through :meth:`TraceCache.get_or_build`: a
+    corrupt cache file (truncated, bit-flipped, interrupted write,
+    legacy format) is quarantined with a logged warning naming the path
+    and reason, then rebuilt from the scene generator, and the advisory
+    per-entry lock makes concurrent bench runs build the traces exactly
+    once.  A small in-process memo short-circuits repeat loads within
+    one sweep; the returned list is shared, so treat it as read-only.
     """
     memo_key = (benchmark, frames, width, height)
     memoized = _TRACE_MEMO.get(memo_key)
     if memoized is not None:
         return list(memoized)
     key = f"trace-g{TRACE_GENERATION}-{benchmark}-{width}x{height}-f{frames}"
-    path = cache_dir() / f"{key}.v{TRACE_FORMAT_VERSION}.pkl"
-    with cachefile.file_lock(path):
-        cached = _load_cache_entry(path, f"trace cache for {benchmark}")
-        if cached is not None:
-            _memoize_traces(memo_key, cached)
-            return cached
-        builder = TraceBuilder(make_scene_builder(benchmark, width, height),
-                               width, height, TILE)
-        traces = builder.build_many(frames)
-        cachefile.write_cache(traces, path)
+    builder = TraceBuilder(make_scene_builder(benchmark, width, height),
+                           width, height, TILE)
+    traces = TraceCache(cache_dir()).get_or_build(key, builder, frames)
     _memoize_traces(memo_key, traces)
     return traces
 
@@ -172,20 +168,6 @@ def _memoize_traces(key: Tuple[str, int, int, int],
     while len(_TRACE_MEMO) >= _TRACE_MEMO_SLOTS:
         _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
     _TRACE_MEMO[key] = list(traces)
-
-
-def _load_cache_entry(path: Path, what: str):
-    """One cache entry, or None after quarantining a corrupt file."""
-    if not path.exists():
-        return None
-    try:
-        return cachefile.read_cache(path)
-    except CacheCorruptionError as exc:
-        quarantined = cachefile.quarantine(path, str(exc))
-        logger.warning(
-            "%s unusable: %s — quarantined as %s and rebuilding",
-            what, exc, quarantined.name if quarantined else "<gone>")
-        return None
 
 
 # -- cached simulation runs ---------------------------------------------------
@@ -253,7 +235,7 @@ def run_simulation(benchmark: str, kind: str, frames: int = FRAMES,
     path = (cache_dir()
             / f"run-g{RESULT_GENERATION}-{benchmark}-{kind}-{digest}.pkl")
     if use_cache:
-        cached = _load_cache_entry(path, f"result cache {benchmark}/{kind}")
+        cached = cachefile.load_or_quarantine(path)
         if cached is not None:
             return cached
     traces = get_traces(benchmark, frames)
@@ -353,8 +335,8 @@ class BenchmarkOutcome:
     elapsed_s: float = 0.0
     #: How the result was obtained: ``completed`` (clean first attempt),
     #: ``degraded`` (recovered via retry/preemption), ``failed``,
-    #: ``tripped`` or ``skipped``.  Empty on the legacy (unsupervised)
-    #: backends, which predate provenance tracking.
+    #: ``tripped`` or ``skipped``.  Empty on the in-process backend,
+    #: which predates provenance tracking.
     provenance: str = ""
     #: Times the supervisor had to SIGTERM/SIGKILL a worker for this
     #: pair (supervised backend only).
@@ -459,20 +441,14 @@ def _wall_clock_limit(seconds: Optional[float], label: str) -> Iterator[None]:
                              max(prior_remaining - elapsed, 1e-6))
 
 
-def _is_transient(exc: BaseException) -> bool:
-    """Whether retrying after backoff can plausibly succeed."""
-    return is_transient(exc)
-
-
 def _attempt_pair(benchmark: str, kind: str, frames: int,
                   timeout_s: Optional[float], max_attempts: int,
                   backoff_s: float, runner: Callable[..., RunSummary],
                   run_kwargs: dict) -> BenchmarkOutcome:
-    """Run one (benchmark, kind) pair under the retry/timeout policy.
+    """Run one (benchmark, kind) pair in-process under the retry/timeout
+    policy.
 
-    Module-level (not a closure) so :func:`run_suite` can ship it to
-    worker processes; everything it touches must stay picklable.  A
-    ``KeyboardInterrupt`` during an attempt is recorded on the returned
+    A ``KeyboardInterrupt`` during an attempt is recorded on the returned
     outcome (``error_type == "KeyboardInterrupt"``) for the caller to
     act on rather than propagating.
     """
@@ -498,8 +474,7 @@ def _attempt_pair(benchmark: str, kind: str, frames: int,
                 else SimulationError(f"{benchmark}/{kind}: {exc!r}")
             outcome.error = str(wrapped)
             outcome.error_type = type(wrapped).__name__
-            retryable = (_is_transient(exc)
-                         and attempt < max_attempts)
+            retryable = is_transient(exc) and attempt < max_attempts
             logger.warning(
                 "%s/%s attempt %d/%d failed (%s: %s)%s",
                 benchmark, kind, attempt, max_attempts,
@@ -536,6 +511,33 @@ def _unknown_benchmark(benchmark: str, kind: str,
                     "ConfigValidationError")
 
 
+def _wants_fork(workers: int) -> bool:
+    """More than one worker, or an active chaos plan (:mod:`repro.chaos`):
+    an injected crash in an in-process run would kill the driver."""
+    return workers > 1 or chaos.active() is not None
+
+
+def forks(workers: int) -> bool:
+    """Whether :func:`run_pairs` runs each pair in a forked child.
+
+    True when :func:`_wants_fork` and ``fork`` is available
+    (:func:`repro.supervision.available`); without ``fork``,
+    :func:`run_pairs` runs the pairs in-process, one after another, and
+    logs a warning.  An explicit ``supervisor`` passed to
+    :func:`run_pairs` forks regardless.
+    """
+    return _wants_fork(workers) and supervision.available()
+
+
+#: The policy of the supervisor :func:`run_pairs` builds when it is not
+#: given one.  A suite's pairs differ in cost by two orders of magnitude
+#: (a result-cache hit against a cold trace build), so a deadline learnt
+#: from the pairs done so far would preempt the slow ones: the adaptive
+#: deadline never engages and the only budget is the caller's
+#: ``timeout_s``, as on the in-process path.
+_PAIRS_POLICY = SupervisionPolicy(deadline_min_samples=sys.maxsize)
+
+
 def run_suite(benchmarks: Sequence[str],
               kinds: Sequence[str] = ("libra",),
               frames: int = FRAMES,
@@ -557,16 +559,16 @@ def run_suite(benchmarks: Sequence[str],
     Unknown benchmark names are reported as ``skipped`` (with the valid
     names in the message) instead of aborting the sweep.
 
-    ``workers`` > 1 fans the pairs out over a ``ProcessPoolExecutor``
-    with the *same* per-pair timeout/retry policy (each worker runs one
-    pair at a time on its own main thread, so the ``SIGALRM`` timeout
-    still engages) and the same outcome order in the report.  Per-pair
-    failure isolation carries over — one worker's failed or timed-out
-    benchmark never disturbs the others — and the on-disk trace/result
-    caches stay consistent because every entry is written under an
-    advisory file lock.  ``runner`` and ``run_kwargs`` must be picklable
-    in this mode; a pair whose submission or result transfer fails is
-    recorded as ``failed``, not raised.
+    ``workers`` > 1 runs the pairs on a :class:`~repro.supervision.
+    Supervisor` (see :func:`forks`): each pair in a monitored forked
+    child, up to ``workers`` at a time, under the *same* per-pair
+    timeout/retry policy (enforced and retried by the parent) and with
+    the same outcome order in the report.  Per-pair failure isolation
+    carries over — one worker's failed, crashed or timed-out benchmark
+    never disturbs the others — and the on-disk trace/result caches
+    stay consistent because every entry is written under an advisory
+    file lock.  Forked children inherit ``runner`` and ``run_kwargs``,
+    so closures work; only the returned summary crosses a pipe.
 
     ``runner`` defaults to :func:`run_simulation` and exists for tests
     and alternative backends; it receives ``(benchmark, kind,
@@ -601,23 +603,24 @@ def run_pairs(pairs: Sequence[Tuple[str, str]],
     sweep engine (:mod:`repro.experiments`) routes arbitrary grid points
     through here with the point id in the ``kind`` slot.  Everything
     else carries over from :func:`run_suite`: per-pair wall-clock
-    timeout, bounded retry with backoff, failure isolation, stable
-    outcome order, and the process-pool backend when ``workers > 1``.
+    timeout, bounded retry with backoff, failure isolation and stable
+    outcome order.
 
     ``valid`` is an optional allow-list of benchmark names; pairs whose
     benchmark falls outside it are reported as ``skipped``.  ``None``
     (the default here, unlike :func:`run_suite`) runs every pair as
     given.
 
-    Passing a :class:`~repro.supervision.Supervisor` switches to the
-    worker-lifecycle backend: every pair runs in a monitored forked
-    child with heartbeat/hang detection, adaptive deadlines, escalating
-    preemption, parent-side jittered retries and (when the supervisor
-    carries a breaker) circuit breaking keyed by
-    ``breaker_key_for(benchmark, kind)``.  Outcomes gain ``provenance``
-    and may carry the ``tripped`` status.  The legacy sequential and
-    process-pool backends are completely untouched when ``supervisor``
-    is None — callers that monkeypatch runners in-process keep working.
+    There are two backends.  With a ``supervisor``, or without one when
+    :func:`forks` says so (then one on ``_PAIRS_POLICY``: no breaker, no
+    adaptive deadline), every pair runs in a monitored forked child with
+    heartbeat/hang detection, deadlines, escalating preemption, parent-side
+    jittered retries and (when the supervisor carries a breaker)
+    circuit breaking keyed by ``breaker_key_for(benchmark, kind)``;
+    outcomes gain ``provenance`` and may carry the ``tripped`` status.
+    Otherwise the pairs run in this process one after another under a
+    ``SIGALRM`` timeout, so callers that monkeypatch runners in-process
+    keep working.
     """
     if max_attempts < 1:
         raise ConfigValidationError("max_attempts must be >= 1")
@@ -625,16 +628,17 @@ def run_pairs(pairs: Sequence[Tuple[str, str]],
         raise ConfigValidationError("workers must be >= 1")
     runner = runner or run_simulation
     suite_wall_start = time.time()
+    if supervisor is None:
+        if forks(workers):
+            supervisor = Supervisor(policy=_PAIRS_POLICY)
+        elif _wants_fork(workers):
+            logger.warning("the 'fork' start method is unavailable here: "
+                           "running the pairs sequentially in-process")
     if supervisor is not None:
         report = _run_suite_supervised(pairs, valid, workers, frames,
                                        timeout_s, max_attempts,
                                        backoff_s, runner, run_kwargs,
                                        supervisor, breaker_key_for)
-        return _finalize_suite(report, suite_wall_start)
-    if workers > 1:
-        report = _run_suite_parallel(pairs, valid, workers, frames,
-                                     timeout_s, max_attempts, backoff_s,
-                                     runner, run_kwargs)
         return _finalize_suite(report, suite_wall_start)
     report = SuiteReport()
     aborted = False
@@ -659,10 +663,10 @@ def run_pairs(pairs: Sequence[Tuple[str, str]],
 def _finalize_suite(report: SuiteReport, wall_start: float) -> SuiteReport:
     """Attach the suite-level telemetry span and metrics snapshot.
 
-    In ``workers > 1`` mode each worker process carries its own hub, so
+    On the supervised backend each forked child carries its own hub, so
     the snapshot taken here only reflects the parent process (the
-    per-pair spans emitted inside workers stay in the workers); the
-    sequential path captures everything.
+    per-pair spans emitted inside children stay there); the in-process
+    path captures everything.
     """
     if HUB.enabled:
         HUB.emit(HarnessSpan(
@@ -674,87 +678,6 @@ def _finalize_suite(report: SuiteReport, wall_start: float) -> SuiteReport:
                   "skipped": len(report.skipped)}))
         report.metrics = HUB.metrics.snapshot()
     return report
-
-
-def _run_suite_parallel(pairs: Sequence[Tuple[str, str]],
-                        valid: Optional[Sequence[str]], workers: int,
-                        frames: int,
-                        timeout_s: Optional[float], max_attempts: int,
-                        backoff_s: float,
-                        runner: Callable[..., RunSummary],
-                        run_kwargs: dict) -> SuiteReport:
-    """The ``workers > 1`` backend of :func:`run_suite`.
-
-    Submits every known pair to a process pool and fills a slot table
-    indexed by pair position, so the report's outcome order matches the
-    sequential sweep regardless of completion order.  A
-    ``KeyboardInterrupt`` while waiting cancels the pending pairs and
-    reports the unfinished ones as ``skipped`` — the sequential
-    contract.  A broken pool (worker killed) marks the affected pairs
-    ``failed`` and still returns the report.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    slots: List[Optional[BenchmarkOutcome]] = [None] * len(pairs)
-    jobs: List[int] = []
-    for i, (benchmark, kind) in enumerate(pairs):
-        if valid is not None and benchmark not in valid:
-            slots[i] = _unknown_benchmark(benchmark, kind, valid)
-        else:
-            jobs.append(i)
-    if not jobs:
-        return SuiteReport(outcomes=[s for s in slots if s is not None])
-    try:
-        # Fork keeps monkeypatched modules and closures visible to the
-        # workers (POSIX); where unavailable the default start method
-        # works for the picklable default runner.
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        context = None
-    executor = ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
-                                   mp_context=context)
-    futures = {}
-    try:
-        for i in jobs:
-            benchmark, kind = pairs[i]
-            futures[executor.submit(
-                _attempt_pair, benchmark, kind, frames, timeout_s,
-                max_attempts, backoff_s, runner, run_kwargs)] = i
-        for future in as_completed(futures):
-            i = futures[future]
-            benchmark, kind = pairs[i]
-            try:
-                slots[i] = future.result()
-            except Exception as exc:
-                # Submission/result-transfer failure (unpicklable runner,
-                # killed worker): isolate it to this pair.
-                slots[i] = BenchmarkOutcome(
-                    benchmark, kind, "failed", attempts=1,
-                    error=f"worker failed: {exc!r}",
-                    error_type=type(exc).__name__)
-    except KeyboardInterrupt:
-        for future in futures:
-            future.cancel()
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-    for i, (benchmark, kind) in enumerate(pairs):
-        if slots[i] is None:
-            slots[i] = _skipped(benchmark, kind, "suite interrupted",
-                                "KeyboardInterrupt")
-    return SuiteReport(outcomes=list(slots))
-
-
-def _supervised_pair_target(benchmark: str, kind: str, frames: int,
-                            runner: Callable[..., RunSummary],
-                            run_kwargs: dict) -> RunSummary:
-    """What one supervised worker process executes for a pair.
-
-    No in-worker retry/timeout machinery: deadlines, preemption and
-    retries all live in the supervising parent, which can also handle
-    the failure modes in-process code cannot (hangs, OOM kills).
-    """
-    return runner(benchmark, kind, frames=frames, **run_kwargs)
 
 
 def _run_suite_supervised(pairs: Sequence[Tuple[str, str]],
@@ -771,7 +694,7 @@ def _run_suite_supervised(pairs: Sequence[Tuple[str, str]],
     Translates pairs to :class:`~repro.supervision.SupervisedJob`\\ s and
     worker outcomes back to :class:`BenchmarkOutcome`\\ s, preserving the
     report's outcome order.  Works with ``workers == 1`` too — unlike
-    the legacy sequential path, each pair still gets its own monitored
+    the in-process path, each pair still gets its own monitored
     process, which is what makes chaos-injected crashes and hangs
     survivable.
     """
@@ -782,9 +705,11 @@ def _run_suite_supervised(pairs: Sequence[Tuple[str, str]],
         if valid is not None and benchmark not in valid:
             slots[i] = _unknown_benchmark(benchmark, kind, valid)
             continue
+        # No in-worker retry/timeout machinery: deadlines, preemption
+        # and retries all live in the supervising parent.
         jobs.append(SupervisedJob(
-            label=f"{benchmark}/{kind}", fn=_supervised_pair_target,
-            args=(benchmark, kind, frames, runner, run_kwargs),
+            label=f"{benchmark}/{kind}", fn=runner, args=(benchmark, kind),
+            kwargs=dict(run_kwargs, frames=frames),
             breaker_key=breaker_key_for(benchmark, kind)
             if breaker_key_for else ""))
         job_slots.append(i)

@@ -45,10 +45,10 @@ SCHEMA_VERSION = 1
 
 #: The simulated metrics recorded per case (all deterministic).  The
 #: first three come from simulator cases; the rest from the synthetic
-#: micro cases (hit/access counts and integer service cycles).  The
+#: micro case (access/row-hit counts and integer service cycles).  The
 #: drift gate checks whichever names a case's record carries.
 SIM_METRICS = ("total_cycles", "raster_dram_accesses", "texture_hit_ratio",
-               "hits", "accesses", "row_hits", "service_cycles")
+               "accesses", "row_hits", "service_cycles")
 
 
 @dataclass(frozen=True)
@@ -65,22 +65,20 @@ class PerfCase:
     height: int
     #: ``kernel`` (bare simulator run), ``suite`` (supervised
     #: ``harness.run_suite`` macro run including its retry/span
-    #: bookkeeping) or ``micro`` (synthetic stream through one batched
-    #: memory kernel, see :mod:`repro.perf.micro`; ``width`` is the
+    #: bookkeeping) or ``micro`` (synthetic stream through the batched
+    #: DRAM kernel, see :mod:`repro.perf.micro`; ``width`` is the
     #: batch length and ``height`` the batch count).
     style: str = "kernel"
 
 
 #: The quick set: what CI and the test suite run (seconds, not minutes).
-#: The synthetic micro cases belong here — they build no traces, so
-#: they cost milliseconds while still drift-gating the batched kernels.
+#: The synthetic micro case belongs here — it builds no traces, so it
+#: costs milliseconds while still drift-gating the batched DRAM kernel.
 QUICK_CASES: Tuple[PerfCase, ...] = (
     PerfCase("kernel.tri_overlap.libra", "tri_overlap", "libra",
              frames=2, width=256, height=128),
     PerfCase("suite.tri_overlap", "tri_overlap", "baseline,libra",
              frames=1, width=128, height=64, style="suite"),
-    PerfCase("micro.cache_lru.batch", "synthetic", "cache_lru",
-             frames=1, width=4096, height=48, style="micro"),
     PerfCase("micro.dram.interval_batch", "synthetic", "dram_batch",
              frames=1, width=4096, height=48, style="micro"),
 )
@@ -173,7 +171,7 @@ def _mad(samples: Sequence[float]) -> float:
 
 def _suite_runner(benchmark: str, kind: str, frames: int = 1,
                   width: int = 128, height: int = 64):
-    """Small-geometry runner for the suite macro case (picklable)."""
+    """Small-geometry runner for the suite macro case."""
     from ..experiments.spec import SweepPoint
     from ..experiments.engine import execute_point
     return execute_point(SweepPoint(benchmark=benchmark, kind=kind,

@@ -1,17 +1,10 @@
-"""Synthetic micro perf cases for the batched memory kernels.
+"""Synthetic micro perf case for the batched DRAM kernel.
 
 The curated ``repro perf`` set historically timed only end-to-end
 simulator runs, whose interval-sized batches (tens of lines) never
-reach the regime the vectorized kernels are built for.  These cases
-time exactly that regime with deterministic synthetic streams:
+reach the regime the vectorized kernel is built for.  This case times
+exactly that regime with a deterministic synthetic stream:
 
-* ``cache_lru`` — a sliding-window line stream through
-  :class:`~repro.memory.lru_kernel.ArrayCache`: each batch touches a
-  window of distinct lines (few per set, so the set-safety condition
-  holds), re-touches part of the previous window (hits), and evicts
-  the oldest residents (victim-safety holds: the about-to-be-evicted
-  entries are two windows old and never re-touched).  This drives the
-  vectorized ``np.unique`` + tag-match kernel end to end.
 * ``dram_batch`` — interval-sized bursts through
   :meth:`~repro.memory.dram.DRAM.request_batch` followed by
   :meth:`~repro.memory.dram.DRAM.end_interval`: each burst mixes
@@ -19,7 +12,7 @@ time exactly that regime with deterministic synthetic streams:
   exercising the stable-sort bank walk and the interval queueing model.
 
 Streams are built once per call from a fixed seed; the returned
-metrics (hit/row-hit counts, accesses, integer service cycles) are
+metrics (accesses, row-hit counts, integer service cycles) are
 deterministic, so the perf baseline's metric-drift gate applies to
 them exactly as it does to the simulator cases.
 """
@@ -29,43 +22,16 @@ from __future__ import annotations
 from typing import Dict
 
 from ..compat import require_numpy
-from ..config import CacheConfig, DRAMConfig
+from ..config import DRAMConfig
 from ..errors import ConfigValidationError
 from ..memory.dram import DRAM
-from ..memory.lru_kernel import ArrayCache
 
 np = require_numpy()
 
-#: Geometry of the synthetic L1 the cache case streams through
-#: (256 sets x 8 ways of 64-byte lines = 128 KiB).
-_CACHE_CONFIG = CacheConfig(size_bytes=128 * 1024, ways=8)
-
-#: New distinct lines introduced per batch window (4 per set).
-_WINDOW = 1024
-#: Window advance per batch; the 256-line overlap with the previous
-#: window is the re-touch (hit) traffic.
-_STRIDE = 768
-
 #: Built streams, keyed by (kind, chunk, chunks).  Mirrors the trace
 #: memo of the simulator cases: the untimed warm-up repetition builds
-#: the streams, so the timed repetitions measure the kernels.
+#: the streams, so the timed repetitions measure the kernel.
 _STREAM_MEMO: Dict[tuple, list] = {}
-
-
-def _cache_stream(chunk: int, chunks: int) -> list:
-    key = ("cache_lru", chunk, chunks)
-    batches = _STREAM_MEMO.get(key)
-    if batches is None:
-        rng = np.random.default_rng(2026)
-        reps = -(-chunk // _WINDOW)
-        batches = []
-        for i in range(chunks):
-            window = np.arange(i * _STRIDE, i * _STRIDE + _WINDOW,
-                               dtype=np.int64)
-            lines = np.tile(window, reps)[:chunk]
-            batches.append(lines[rng.permutation(chunk)])
-        _STREAM_MEMO[key] = batches
-    return batches
 
 
 def _dram_stream(chunk: int, chunks: int) -> list:
@@ -85,19 +51,6 @@ def _dram_stream(chunk: int, chunks: int) -> list:
     return bursts
 
 
-def micro_cache_lru(chunk: int = 4096, chunks: int = 48) -> Dict[str, float]:
-    """Stream ``chunks`` batches of ``chunk`` lines through ArrayCache."""
-    if chunk < _WINDOW:
-        raise ConfigValidationError(
-            f"micro cache case needs chunk >= {_WINDOW}")
-    cache = ArrayCache(_CACHE_CONFIG, name="micro-l1", min_batch=1024)
-    hits = 0
-    for lines in _cache_stream(chunk, chunks):
-        hits += cache.lookup_batch(lines, write=False)
-    stats = cache.stats
-    return {"hits": float(hits), "accesses": float(stats.accesses)}
-
-
 def micro_dram_batch(chunk: int = 4096,
                      chunks: int = 48) -> Dict[str, float]:
     """Drive interval-sized bursts through ``DRAM.request_batch``."""
@@ -113,7 +66,6 @@ def micro_dram_batch(chunk: int = 4096,
 
 
 _MICRO_KERNELS = {
-    "cache_lru": micro_cache_lru,
     "dram_batch": micro_dram_batch,
 }
 

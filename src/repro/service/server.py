@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -275,8 +276,17 @@ class SweepServiceHandler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            # The body's extent is unknown: it cannot be drained, so
+            # the connection must not be reused after the 400.
+            self.close_connection = True
+            raise ConfigValidationError(
+                f"Content-Length must be a non-negative integer, "
+                f"got {raw!r}")
+        length = int(raw)
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise ConfigValidationError(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit")
@@ -310,12 +320,9 @@ class SweepServiceHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _fleet(self, parts, query) -> None:
-        try:
-            stale_after = float(
-                query.get("stale_after", [DEFAULT_STALE_AFTER_S])[0])
-        except (TypeError, ValueError):
-            raise ConfigValidationError(
-                "stale_after must be a number of seconds")
+        stale_after = _seconds(
+            "stale_after",
+            query.get("stale_after", [DEFAULT_STALE_AFTER_S])[0])
         self._send_json(200, read_fleet(self.store.root,
                                         stale_after_s=stale_after))
 
@@ -398,9 +405,10 @@ class SweepServiceHandler(BaseHTTPRequestHandler):
             return
         follow = (query.get("follow", ["1"])[0] or "1") not in ("0",
                                                                 "false")
-        timeout_s = min(float(query.get("timeout", ["60"])[0] or 60),
+        timeout_s = min(_seconds("timeout",
+                                 query.get("timeout", ["60"])[0] or 60),
                         MAX_FOLLOW_S)
-        heartbeat_s = float(query.get(
+        heartbeat_s = _seconds("heartbeat", query.get(
             "heartbeat", [DEFAULT_HEARTBEAT_S])[0] or 0)
         log = self.store.events(record.job_id)
         self.send_response(200)
@@ -426,6 +434,19 @@ class SweepServiceHandler(BaseHTTPRequestHandler):
     def _write_chunk(self, data: bytes) -> None:
         self.wfile.write(f"{len(data):x}\r\n".encode() + data + b"\r\n")
         self.wfile.flush()
+
+
+def _seconds(name: str, raw) -> float:
+    """A query parameter as a finite, non-negative number of seconds."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise ConfigValidationError(
+            f"{name} must be a finite, non-negative number of seconds, "
+            f"got {raw!r}")
+    return value
 
 
 def create_server(root: Union[str, Path], host: str = "127.0.0.1",

@@ -1,11 +1,11 @@
 """Worker-lifecycle supervision: heartbeats, preemption, circuit breaking.
 
-The process-pool backend of :func:`repro.harness.run_pairs` isolates
-worker *failures*, but a worker that hangs (deadlocked C extension,
-livelocked retry loop) or is OOM-killed mid-grid can still stall or
-silently degrade an entire sweep.  This module is the supervision layer
-that closes that gap; :mod:`repro.experiments.engine` routes every
-parallel (and every chaos-mode) sweep through it.
+A worker process that raises is easy to isolate, but one that hangs
+(deadlocked C extension, livelocked retry loop) or is OOM-killed
+mid-grid can stall or silently degrade an entire sweep.  This module is
+the supervision layer that closes that gap; :func:`repro.harness.
+run_pairs` runs every parallel (and every chaos-mode) suite or sweep
+through it, and the sweep service runs every point through it.
 
 The pieces:
 

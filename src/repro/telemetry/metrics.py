@@ -16,7 +16,7 @@ JSON-able state dict and ``merge()`` folds such a state (or another
 registry) back in — counters add, gauges keep the merged-in value,
 histograms add bucket-wise.  Sweep workers attach a dump to every
 checkpointed point so the driver can reconstruct grid-wide totals that
-the process-pool boundary would otherwise drop.
+the forked-worker boundary would otherwise drop.
 """
 
 from __future__ import annotations

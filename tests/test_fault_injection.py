@@ -27,7 +27,7 @@ from repro.config import RasterUnitConfig, SchedulerConfig, small_config
 from repro.gpu.simulator import GPUSimulator
 from repro.workloads import load_traces, save_traces
 from repro.workloads.params import HotspotSpec
-from repro.workloads.traces import TraceCache
+from repro.workloads.traces import TRACE_FORMAT_VERSION, TraceCache
 
 from faults import (ExplodesMidPickle, ScriptedRunner, bit_flip,
                     skew_trace_version, sleepy_runner, tiny_builder,
@@ -278,6 +278,26 @@ class TestRunSupervisor:
         assert "1 ok" in text and "1 failed" in text and "1 skipped" in text
         for name in ("CCS", "GDL", "NOPE"):
             assert name in text
+
+
+class TestHarnessTraceCache:
+    """``harness.get_traces``, the production path, through TraceCache."""
+
+    def test_truncated_entry_quarantined_and_rebuilt(self, tmp_path,
+                                                     monkeypatch, caplog):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(harness, "_TRACE_MEMO", {})
+        first = harness.get_traces("GDL", frames=1, width=128, height=64)
+        entry = tmp_path / (f"trace-g{harness.TRACE_GENERATION}-GDL-"
+                            f"128x64-f1.v{TRACE_FORMAT_VERSION}.pkl")
+        assert entry.exists()
+        truncate_file(entry)
+        harness._TRACE_MEMO.clear()
+        again = harness.get_traces("GDL", frames=1, width=128, height=64)
+        assert again == first
+        assert (tmp_path / (entry.name + ".corrupt")).exists()
+        assert cachefile.read_cache(entry) == first  # rebuilt in place
+        assert "quarantined corrupt cache entry" in caplog.text
 
 
 class TestEndToEndDegradation:

@@ -12,22 +12,14 @@ from repro.errors import (ConfigValidationError, DependencyError,
                           ReproError)
 from repro.perf.baseline import (DEFAULT_CASES, compare_baselines,
                                  record_baseline)
-from repro.perf.micro import micro_cache_lru, micro_dram_batch, run_micro
+from repro.perf.micro import micro_dram_batch, run_micro
 
 
 class TestMicroKernels:
 
-    def test_cache_case_deterministic(self):
-        assert micro_cache_lru(chunk=2048, chunks=6) \
-            == micro_cache_lru(chunk=2048, chunks=6)
-
     def test_dram_case_deterministic(self):
         assert micro_dram_batch(chunk=2048, chunks=6) \
             == micro_dram_batch(chunk=2048, chunks=6)
-
-    def test_cache_case_has_hits_and_misses(self):
-        metrics = micro_cache_lru(chunk=2048, chunks=6)
-        assert 0 < metrics["hits"] < metrics["accesses"]
 
     def test_dram_case_counts_are_consistent(self):
         metrics = micro_dram_batch(chunk=2048, chunks=6)
@@ -40,13 +32,8 @@ class TestMicroKernels:
         with pytest.raises(ConfigValidationError):
             run_micro("nope", 1024, 2)
 
-    def test_chunk_floor_enforced(self):
-        with pytest.raises(ConfigValidationError):
-            micro_cache_lru(chunk=16, chunks=1)
-
     def test_micro_cases_in_default_set(self):
         styles = {case.case_id: case.style for case in DEFAULT_CASES}
-        assert styles.get("micro.cache_lru.batch") == "micro"
         assert styles.get("micro.dram.interval_batch") == "micro"
 
 
@@ -71,7 +58,7 @@ class TestMicroBaselineIntegration:
         baseline = record_baseline(cases, repeat=1)
         current = record_baseline(cases, repeat=1)
         case_id = cases[0].case_id
-        current.cases[case_id].metrics["hits"] += 1
+        current.cases[case_id].metrics["row_hits"] += 1
         report = compare_baselines(current, baseline,
                                    wall_threshold_pct=10000.0)
         assert report.exit_code == 1

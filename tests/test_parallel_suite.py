@@ -1,6 +1,7 @@
-"""Tests for the process-parallel suite executor (``run_suite(workers=N)``).
+"""Tests for parallel suite execution (``run_suite(workers=N)``).
 
-The parallel backend must be a drop-in for the sequential sweep: same
+``workers > 1`` runs the pairs on the supervisor (one forked child per
+attempt), which must be a drop-in for the sequential sweep: same
 outcome order, same per-pair timeout/retry policy, same failure
 isolation — one worker's failing benchmark never disturbs the others —
 and the same ``skipped`` reporting for unknown names.
@@ -8,7 +9,9 @@ and the same ``skipped`` reporting for unknown names.
 
 from __future__ import annotations
 
+import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,9 +33,29 @@ def _outcome_key(outcome):
 
 
 def _sleep_runner(benchmark, kind, frames=1, **kw):
-    """Module-level sleeper (picklable) for the worker-timeout test."""
+    """Sleeper for the worker-timeout test."""
     time.sleep(30.0)
     raise AssertionError("timeout should have fired in the worker")
+
+
+def _slow_last_runner(benchmark, kind, frames=1, **kw):
+    """Quick pairs, then one that runs longer than the adaptive floor."""
+    if (benchmark, kind) == ("AAt", "libra"):
+        time.sleep(1.5)
+    return ScriptedRunner({})(benchmark, kind, frames=frames)
+
+
+def _flaky_runner(benchmark, kind, frames=1, flag_path="", **kw):
+    """Fails transiently on its first invocation only.
+
+    The state lives in a flag file: each attempt is a fresh fork of
+    the parent, so in-memory state (a ScriptedRunner's script) would
+    start unconsumed every time.
+    """
+    if not os.path.exists(flag_path):
+        Path(flag_path).write_text("seen")
+        raise CacheCorruptionError(f"injected failure for {benchmark}")
+    return ScriptedRunner({})(benchmark, kind, frames=frames)
 
 
 class TestParallelMatchesSequential:
@@ -51,14 +74,16 @@ class TestParallelMatchesSequential:
         assert [o.benchmark for o in parallel.failed] == ["GDL"]
         assert len(parallel.succeeded) == 3
 
-    def test_transient_fault_retried_inside_worker(self):
-        runner = ScriptedRunner({"CCS": [CacheCorruptionError]})
+    def test_transient_fault_retried_inside_worker(self, tmp_path):
+        """The parent retries a transient fault in a fresh worker."""
         report = harness.run_suite(
-            ["CCS"], frames=1, runner=runner, known_benchmarks=KNOWN,
-            workers=2, backoff_s=0.01)
+            ["CCS"], frames=1, runner=_flaky_runner,
+            known_benchmarks=KNOWN, workers=2, backoff_s=0.01,
+            flag_path=str(tmp_path / "flag"))
         [outcome] = report.outcomes
         assert outcome.ok
         assert outcome.attempts == 2
+        assert outcome.provenance == "degraded"
 
     def test_unknown_benchmark_skipped_in_order(self):
         report = harness.run_suite(
@@ -79,8 +104,8 @@ class TestParallelMatchesSequential:
 
 class TestWorkerIsolation:
     def test_timeout_fires_inside_worker(self):
-        """SIGALRM engages on each worker's main thread, so a hung
-        benchmark times out without stalling its siblings."""
+        """The parent preempts a hung benchmark at its deadline
+        without stalling its siblings."""
         report = harness.run_suite(
             ["CCS", "GDL"], frames=1, timeout_s=0.2, max_attempts=1,
             runner=_sleep_runner, known_benchmarks=KNOWN, workers=2)
@@ -90,16 +115,28 @@ class TestWorkerIsolation:
                 == BenchmarkTimeoutError.__name__
             assert outcome.elapsed_s < 10.0
 
-    def test_unpicklable_runner_fails_only_its_pairs(self):
+    def test_no_deadline_without_timeout(self):
+        """Without ``timeout_s`` no pair is preempted, however much
+        slower it is than the pairs that finished before it."""
+        report = harness.run_suite(
+            KNOWN, kinds=("ptr", "libra"), frames=1,
+            runner=_slow_last_runner, known_benchmarks=KNOWN, workers=2)
+        assert [o.status for o in report.outcomes] == ["ok"] * 8
+        assert report.outcomes[-1].elapsed_s >= 1.5
+
+    def test_closure_runner_succeeds(self):
+        """Forked workers inherit the runner; nothing pickles it."""
+        stub = ScriptedRunner({})
+
         def local_runner(benchmark, kind, frames=1, **kw):
-            raise AssertionError("never runs: closures cannot pickle")
+            return stub(benchmark, kind, frames=frames)
 
         report = harness.run_suite(
-            ["CCS"], frames=1, runner=local_runner,
+            ["CCS", "GDL"], frames=1, runner=local_runner,
             known_benchmarks=KNOWN, workers=2)
-        [outcome] = report.outcomes
-        assert outcome.status == "failed"
-        assert "worker failed" in outcome.error
+        assert [(o.benchmark, o.status) for o in report.outcomes] \
+            == [("CCS", "ok"), ("GDL", "ok")]
+        assert all(o.provenance == "completed" for o in report.outcomes)
 
 
 class TestValidation:
@@ -118,6 +155,17 @@ class TestValidation:
         # call log is visible — the parallel path cannot offer this.
         assert runner.calls == [("CCS", "libra"), ("GDL", "libra")]
         assert len(report.succeeded) == 2
+
+    def test_no_fork_falls_back_to_sequential(self, monkeypatch, caplog):
+        monkeypatch.setattr(harness.supervision, "available",
+                            lambda: False)
+        runner = ScriptedRunner({})
+        report = harness.run_suite(["CCS", "GDL"], frames=1,
+                                   runner=runner,
+                                   known_benchmarks=KNOWN, workers=2)
+        assert runner.calls == [("CCS", "libra"), ("GDL", "libra")]
+        assert len(report.succeeded) == 2
+        assert caplog.text.count("sequentially in-process") == 1
 
 
 class TestCLI:

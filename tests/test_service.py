@@ -947,6 +947,59 @@ class TestEventsHeartbeat:
         assert any("GET /v1/ping" in r.message for r in caplog.records)
 
 
+def _raw_request(url, method, path, headers=()):
+    """(status, JSON body) of a hand-built request, 5 s socket timeout.
+
+    Bypasses :class:`SweepClient` so a test can send what no client
+    would: a malformed header or query value.
+    """
+    import http.client
+    from urllib.parse import urlparse
+    target = urlparse(url)
+    conn = http.client.HTTPConnection(target.hostname, target.port,
+                                      timeout=5)
+    try:
+        conn.putrequest(method, path, skip_accept_encoding=True)
+        for name, value in headers:
+            conn.putheader(name, value)
+        conn.endheaders()
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+class TestHTTPTrustBoundary:
+    """Malformed request framing and query values are 400s."""
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1e3", "1_0"])
+    def test_bad_content_length_is_400(self, served, length):
+        # -1 used to pass the size cap and block the handler in
+        # rfile.read(-1) until the client hung up.
+        url, _ = served
+        status, body = _raw_request(url, "POST", "/v1/jobs",
+                                    [("Content-Length", length)])
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    @pytest.mark.parametrize("query", ["timeout=abc", "timeout=nan",
+                                       "timeout=-5", "heartbeat=abc",
+                                       "heartbeat=nan", "heartbeat=inf"])
+    def test_bad_events_query_is_400(self, served, query):
+        url, _ = served
+        record = SweepClient(url).submit(tiny_spec())
+        status, body = _raw_request(
+            url, "GET",
+            f"/v1/jobs/{record.job_id}/events?follow=1&{query}")
+        assert status == 400
+        assert query.split("=")[0] in body["error"]
+
+    def test_server_still_serves_after_bad_requests(self, served):
+        url, _ = served
+        _raw_request(url, "POST", "/v1/jobs", [("Content-Length", "-1")])
+        assert SweepClient(url).ping()["schema"]
+
+
 # ---------------------------------------------------------------------------
 # end to end: a two-worker sweep is fully observable
 
