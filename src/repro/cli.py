@@ -1158,7 +1158,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker id recorded in leases/events "
                              "(default <hostname>-<pid>)")
     worker.add_argument("--poll", type=float, default=0.5, metavar="S",
-                        help="seconds between idle scans of the store")
+                        help="longest idle wait between scans of the "
+                             "store; a submit on this host wakes the "
+                             "worker at once")
     worker.add_argument("--lease-ttl", type=float, default=30.0,
                         metavar="S",
                         help="lease freshness window; a lease not "

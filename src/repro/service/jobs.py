@@ -10,9 +10,14 @@ over a shared filesystem)::
       store/         # the sweep ArtifactStore (checkpoints, failures)
       leases/        # one <point_id>.lease per in-flight point
       traces/        # correlated per-point telemetry streams (JSONL)
+      wake/          # one FIFO per /events follower, rung per event
 
 plus one ``<root>/fleet/<worker_id>.json`` health snapshot per worker
-(:mod:`repro.service.fleet`), aggregated by ``GET /v1/fleet``.
+(:mod:`repro.service.fleet`), aggregated by ``GET /v1/fleet``, and one
+``<root>/wake/<worker_id>-<pid>.fifo`` doorbell per running
+worker, rung by :meth:`JobStore.submit` (:mod:`repro.service.wake`).
+The FIFOs are wake-up hints only — nothing reads state from them — and
+any tool copying a store must skip them (a FIFO read blocks).
 
 There is deliberately **no queue datastructure**: the queue *is* the
 store.  A point is pending iff it has neither an artifact in
@@ -40,6 +45,7 @@ from ..errors import ConfigValidationError
 from ..experiments import ArtifactStore, ExperimentSpec
 from ..telemetry.progress import ProgressLog
 from .schema import JobRecord
+from .wake import WAKE_DIR, ring
 
 logger = logging.getLogger(__name__)
 
@@ -85,8 +91,10 @@ class JobStore:
         return self.job_dir(job_id) / LEASES_DIR
 
     def events(self, job_id: str) -> ProgressLog:
-        """The job's progress event stream."""
-        return ProgressLog(self.job_dir(job_id) / EVENTS_NAME)
+        """The job's progress event stream (appends ring its followers)."""
+        job_dir = self.job_dir(job_id)
+        return ProgressLog(job_dir / EVENTS_NAME,
+                           wake_dir=job_dir / WAKE_DIR)
 
     def result_path(self, job_id: str) -> Path:
         """Path of the cached aggregated matrix."""
@@ -95,6 +103,11 @@ class JobStore:
     def traces_dir(self, job_id: str) -> Path:
         """Directory of the job's correlated per-point trace streams."""
         return self.job_dir(job_id) / TRACES_DIR
+
+    @property
+    def wake_dir(self) -> Path:
+        """Directory of the idle workers' doorbells (rung on submit)."""
+        return self.root / WAKE_DIR
 
     @property
     def fleet_dir(self) -> Path:
@@ -139,6 +152,7 @@ class JobStore:
                         pass
                     self.events(record.job_id).emit(
                         "job_requeued", job_id=record.job_id)
+                    ring(self.wake_dir)
                 return existing
             self._write_unlocked(record)
         self.sweep_store(record.job_id).initialize(spec)
@@ -147,6 +161,7 @@ class JobStore:
             "job_submitted", job_id=record.job_id, spec_name=spec.name,
             total_points=record.total_points,
             fingerprint=record.fingerprint)
+        ring(self.wake_dir)
         return record
 
     # -- record I/O ---------------------------------------------------------

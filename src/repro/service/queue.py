@@ -56,7 +56,7 @@ class PointClaim:
     lease_path: Path
     worker_id: str
     #: Worker id found on a stale lease this claim adopted ('' for a
-    #: first claim).
+    #: first claim, 'unknown' when the stale lease was unreadable).
     adopted_from: str = ""
 
     def lease_body(self) -> str:
@@ -118,14 +118,17 @@ def claim_point(store: JobStore, job_id: str, spec: ExperimentSpec,
                 continue
             lease_path = leases / f"{pid}.lease"
             adopted_from = ""
-            if lease_path.exists():
-                try:
-                    age = now - lease_path.stat().st_mtime
-                except OSError:
-                    age = lease_ttl_s + 1.0  # vanished mid-scan: stale
+            try:
+                age: Optional[float] = now - lease_path.stat().st_mtime
+            except OSError:
+                age = None  # no lease, or released mid-scan
+            if age is not None:
                 if age <= lease_ttl_s:
                     continue  # live owner, keep scanning
-                adopted_from = str(read_lease(lease_path).get("owner", ""))
+                # A stale lease whose body is unreadable (torn by a
+                # crash) names no owner, but taking it is an adoption.
+                adopted_from = str(read_lease(lease_path).get("owner")
+                                   or "unknown")
             claim = PointClaim(job_id=job_id, point=point,
                                lease_path=lease_path,
                                worker_id=worker_id,

@@ -43,6 +43,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -77,6 +79,9 @@ DEFAULT_HEARTBEAT_S = 15.0
 #: Latency histogram buckets for request timing (seconds).
 HTTP_LATENCY_BUCKETS = (0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10.0)
 
+#: A client that hung up or went silent: nothing is left to answer.
+CLIENT_GONE = (BrokenPipeError, ConnectionResetError, socket.timeout)
+
 
 def _package_version() -> str:
     from .. import __version__
@@ -104,6 +109,19 @@ class SweepServiceServer(ThreadingHTTPServer):
         #: Per-job byte offsets into events.jsonl, so event counters
         #: advance incrementally across scrapes instead of recounting.
         self._event_offsets: Dict[str, int] = {}
+
+    def handle_error(self, request, client_address) -> None:
+        """Log a handler failure; a client that went away is not one.
+
+        ``socketserver`` prints other failures' tracebacks to stderr; a
+        peer resetting a kept-alive connection is routine, so it goes
+        to the ``repro`` logger at debug level instead.
+        """
+        if isinstance(sys.exc_info()[1], CLIENT_GONE):
+            logger.debug("client %s went away: %s", client_address,
+                         sys.exc_info()[1])
+            return
+        super().handle_error(request, client_address)
 
     def observe_request(self, label: str, method: str, status: int,
                         elapsed_s: float) -> None:
@@ -172,6 +190,10 @@ class SweepServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    #: Socket timeout per blocking read or write: a client that connects
+    #: and never sends its request (or stops reading a stream) releases
+    #: its handler thread after this long instead of holding it forever.
+    timeout = 30.0
 
     # -- plumbing -----------------------------------------------------------
 
@@ -221,8 +243,9 @@ class SweepServiceHandler(BaseHTTPRequestHandler):
             handler(parts, query)
         except ConfigValidationError as exc:
             self._error(400, str(exc))
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-response; nothing to answer
+        except CLIENT_GONE:
+            # The client went away mid-request; nothing to answer.
+            self.close_connection = True
         except Exception as exc:  # never a traceback on the wire
             logger.exception("unhandled error serving %s %s",
                              method, self.path)
@@ -415,21 +438,22 @@ class SweepServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
+        if follow:
+            # Heartbeat chunks keep read-timeout proxies from dropping
+            # an idle follower while a slow point runs.
+            stream = log.tail(done_events=TERMINAL_EVENTS,
+                              timeout_s=timeout_s,
+                              heartbeat_s=heartbeat_s or None)
+        else:
+            stream = iter(log.read())
         try:
-            if follow:
-                # Heartbeat chunks keep read-timeout proxies from
-                # dropping an idle follower while a slow point runs.
-                stream = log.tail(done_events=TERMINAL_EVENTS,
-                                  timeout_s=timeout_s,
-                                  heartbeat_s=heartbeat_s or None)
-            else:
-                stream = iter(log.read())
             for event in stream:
                 self._write_chunk(
                     (json.dumps(event, sort_keys=True) + "\n").encode())
-            self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
+        finally:
+            if follow:
+                stream.close()  # removes its doorbell if the client left
+        self.wfile.write(b"0\r\n\r\n")
 
     def _write_chunk(self, data: bytes) -> None:
         self.wfile.write(f"{len(data):x}\r\n".encode() + data + b"\r\n")

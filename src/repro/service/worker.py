@@ -37,10 +37,11 @@ from ..experiments import ExperimentSpec, speedup_matrix
 from ..experiments.engine import _point_runner, sweep_result_from_store
 from ..harness import RESULT_GENERATION
 from ..supervision import CircuitBreaker, SupervisionPolicy, Supervisor
-from .fleet import DEFAULT_FLEET_INTERVAL_S, FleetReporter
+from .fleet import DEFAULT_FLEET_INTERVAL_S, FleetReporter, worker_file_name
 from .jobs import JobStore
 from .queue import DEFAULT_LEASE_TTL_S, PointClaim, claim_point
 from .schema import JobRecord
+from .wake import Doorbell
 
 logger = logging.getLogger(__name__)
 
@@ -77,6 +78,13 @@ def run_worker(root: Union[str, Path],
     server's ``GET /v1/fleet`` — and a SIGKILL simply stops the beat,
     so the fleet view flags this worker stale by mtime exactly like an
     abandoned lease.
+
+    While idle the worker waits on its doorbell
+    (``<root>/wake/<worker_id>-<pid>.fifo``), which
+    :meth:`~repro.service.jobs.JobStore.submit` rings: a new job is
+    claimed at once, and ``poll_s`` only bounds the wait for submissions
+    the doorbell cannot carry (another host over a shared filesystem,
+    or no ``mkfifo``).
     """
     store = JobStore(root)
     worker_id = worker_id or default_worker_id()
@@ -85,11 +93,14 @@ def run_worker(root: Union[str, Path],
                              interval_s=fleet_interval_s).start()
     if os.environ.get(chaos.ENV_SEED) is not None:
         reporter.note(chaos_active=True)
+    bell = Doorbell(store.wake_dir,
+                    Path(worker_file_name(f"{worker_id}-{os.getpid()}")).stem)
     try:
         return _worker_loop(store, worker_id, poll_s, lease_ttl_s,
                             idle_exit_s, max_points, once, policy, stop,
-                            reporter)
+                            reporter, bell)
     finally:
+        bell.close()
         reporter.stop()
 
 
@@ -97,7 +108,7 @@ def _worker_loop(store: JobStore, worker_id: str, poll_s: float,
                  lease_ttl_s: float, idle_exit_s: Optional[float],
                  max_points: Optional[int], once: bool,
                  policy: Optional[SupervisionPolicy], stop,
-                 reporter: FleetReporter) -> int:
+                 reporter: FleetReporter, bell: Doorbell) -> int:
     executed = 0
     idle_since: Optional[float] = None
     refused: Set[str] = set()
@@ -131,10 +142,7 @@ def _worker_loop(store: JobStore, worker_id: str, poll_s: float,
             logger.info("worker %s idle for %.1fs, exiting",
                         worker_id, idle_exit_s)
             return executed
-        if stop is not None:
-            stop.wait(poll_s)
-        else:
-            time.sleep(poll_s)
+        bell.wait(poll_s, stop)
     return executed
 
 
@@ -240,7 +248,7 @@ def _execute_claim(store: JobStore, record: JobRecord,
 
     The lease renewer beats for the whole execution (simulation plus
     supervised retries), so a live worker grinding a slow point is
-    never mistaken for a dead one; it stops before the lease is
+    never mistaken for a dead one; it has exited before the lease is
     released either way.  Returns the harness outcome of the point.
 
     With per-point telemetry on, the runner also writes a correlated
@@ -286,6 +294,9 @@ def _execute_claim(store: JobStore, record: JobRecord,
         outcome = report.outcomes[0]
     finally:
         renewer.stop()
+        # A beat still in flight would recreate the lease the caller
+        # is about to release.
+        renewer.join()
     elapsed = round(time.time() - wall_start, 6)
     if outcome.status == "ok":
         events.emit("point_done", job_id=claim.job_id,

@@ -60,6 +60,7 @@ from multiprocessing import connection
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .cachefile import atomic_write_bytes
 from .errors import ReproError, is_transient
 from .telemetry import HUB, HarnessSpan, SupervisorEvent
 
@@ -113,8 +114,11 @@ class HeartbeatWriter(threading.Thread):
     time).  The sweep service reuses this thread as its lease renewer —
     the lease file's mtime is the liveness signal exactly like a
     heartbeat, and the payload callable keeps the lease's JSON body
-    (owner, claim time) intact across renewals.  A payload that raises
-    is treated like an unwritable path: degrade, never crash the worker.
+    (owner, claim time) intact across renewals; payload beats replace
+    the file atomically.  A payload that raises is treated like an
+    unwritable path: degrade, never crash the worker.  ``stop()`` does
+    not wait for a beat in progress: ``join()`` before removing the file,
+    or that beat can recreate it.
     """
 
     def __init__(self, path: os.PathLike, interval_s: float,
@@ -134,11 +138,15 @@ class HeartbeatWriter(threading.Thread):
             if not self._paused.is_set() and not self.degraded:
                 try:
                     if self.payload is not None:
-                        body = self.payload()
+                        # A reader must never see a truncated body: a
+                        # process killed mid-rewrite would leave an
+                        # empty lease that names no owner.
+                        atomic_write_bytes(self.path, self.payload().encode())
                     else:
-                        body = f"{os.getpid()} {time.time():.6f}\n"
-                    with open(self.path, "w") as handle:
-                        handle.write(body)
+                        # Bare beats are read by mtime only: touch in
+                        # place, cheaply, at up to 20 Hz.
+                        with open(self.path, "w") as handle:
+                            handle.write(f"{os.getpid()} {time.time():.6f}\n")
                 except Exception as exc:
                     self.degraded = True
                     logger.debug("heartbeat %s unwritable (%s); worker "

@@ -12,9 +12,14 @@ HTTP clients tail while it grows.  :class:`ProgressLog` is that file:
 * every record is stamped with ``ts`` (wall clock) and the writer's
   ``pid`` — enough to order and attribute events across a fleet;
 * reads are lock-free: a half-visible final line (reader raced the
-  writer) is simply skipped and picked up by the next poll, which is
+  writer) is simply skipped and picked up by the next scan, which is
   what lets ``GET /v1/jobs/<id>/events`` stream the file with chunked
-  transfer-encoding while workers keep appending.
+  transfer-encoding while workers keep appending;
+* with a ``wake_dir``, every append rings the doorbells of the
+  followers tailing the file on this host
+  (:mod:`repro.service.wake`), so :meth:`ProgressLog.tail` rescans the
+  moment a record lands; its ``poll_s`` only bounds the wait for
+  appends the doorbell cannot carry (a writer on another host).
 
 Like the heartbeat writer, appends must never take a worker down:
 ``OSError`` (read-only filesystem, ENOSPC) is swallowed after flipping
@@ -38,8 +43,10 @@ logger = logging.getLogger(__name__)
 class ProgressLog:
     """Append-only JSONL event stream shared by many processes."""
 
-    def __init__(self, path: Union[str, Path]):
+    def __init__(self, path: Union[str, Path],
+                 wake_dir: Optional[Union[str, Path]] = None):
         self.path = Path(path)
+        self.wake_dir = None if wake_dir is None else Path(wake_dir)
         self.degraded = False
 
     def emit(self, event: str, **fields) -> None:
@@ -68,6 +75,11 @@ class ProgressLog:
             self.degraded = True
             logger.debug("progress log %s unwritable (%s); events are "
                          "dropped from here on", self.path, exc)
+            return
+        if self.wake_dir is not None:
+            # Imported here: the service package imports this module.
+            from ..service.wake import ring
+            ring(self.wake_dir)
 
     def read(self, offset: int = 0) -> List[dict]:
         """Parsed records from byte ``offset`` on (lock-free snapshot)."""
@@ -94,23 +106,41 @@ class ProgressLog:
         never written to the file — they exist so a chunked HTTP
         follower behind a read-timeout proxy sees periodic bytes while
         a long point simulates.
+
+        With a ``wake_dir`` the follower waits between scans on its own
+        doorbell in that directory (removed when the generator is
+        closed), so an append is yielded at once instead of after up to
+        ``poll_s``.
         """
         deadline = None if timeout_s is None else time.time() + timeout_s
         last_activity = time.time()
-        while True:
-            for record, offset in self._scan(offset):
-                last_activity = time.time()
-                yield record
-                if done_events and record.get("event") in done_events:
+        bell = None
+        if self.wake_dir is not None:
+            from ..service.wake import Doorbell
+            bell = Doorbell(self.wake_dir,
+                            f"{os.getpid()}-{os.urandom(4).hex()}")
+        try:
+            while True:
+                for record, offset in self._scan(offset):
+                    last_activity = time.time()
+                    yield record
+                    if done_events and record.get("event") in done_events:
+                        return
+                now = time.time()
+                if deadline is not None and now >= deadline:
                     return
-            now = time.time()
-            if deadline is not None and now >= deadline:
-                return
-            if heartbeat_s is not None and now - last_activity >= heartbeat_s:
-                last_activity = now
-                yield {"event": "heartbeat", "ts": round(now, 6),
-                       "pid": os.getpid()}
-            time.sleep(poll_s)
+                if (heartbeat_s is not None
+                        and now - last_activity >= heartbeat_s):
+                    last_activity = now
+                    yield {"event": "heartbeat", "ts": round(now, 6),
+                           "pid": os.getpid()}
+                if bell is None:
+                    time.sleep(poll_s)
+                else:
+                    bell.wait(poll_s)
+        finally:
+            if bell is not None:
+                bell.close()
 
     def _scan(self, offset: int) -> Iterator[tuple]:
         """(record, next_offset) pairs of complete lines past offset.

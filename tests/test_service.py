@@ -31,6 +31,7 @@ from repro.service.fleet import (FleetReporter, job_progress, read_fleet,
 from repro.service.jobs import TERMINAL_EVENTS
 from repro.service.queue import read_lease
 from repro.service.server import create_server
+from repro.service.wake import Doorbell, ring
 from repro.telemetry.fleet_trace import PID_WORKER0, fleet_chrome_trace
 from repro.telemetry.progress import ProgressLog
 
@@ -356,6 +357,48 @@ class TestLeaseQueue:
         assert body["owner"] == "w1" and body["pid"] == os.getpid()
 
 
+    def test_stale_empty_lease_is_adopted(self, tmp_path):
+        # A renewal torn by a crash leaves a lease naming no owner;
+        # taking it over is still an adoption, recorded as such.
+        spec = tiny_spec()
+        store = JobStore(tmp_path)
+        record = store.submit(spec)
+        first = spec.expand()[0].point_id
+        lease = store.leases_dir(record.job_id) / f"{first}.lease"
+        lease.write_bytes(b"")
+        old = time.time() - 10.0
+        os.utime(lease, (old, old))
+        adopted = claim_point(store, record.job_id, spec, "rescuer",
+                              lease_ttl_s=1.0)
+        assert adopted.point.point_id == first
+        assert adopted.adopted_from == "unknown"
+        adoptions = [e for e in store.events(record.job_id).read()
+                     if e["event"] == "lease_adopted"]
+        assert [(e["point_id"], e["previous_owner"]) for e in adoptions] \
+            == [(first, "unknown")]
+
+    def test_renewal_never_exposes_an_empty_body(self, tmp_path):
+        spec = tiny_spec()
+        store = JobStore(tmp_path)
+        record = store.submit(spec)
+        claim = claim_point(store, record.job_id, spec, "w1")
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave reader and renewer
+        renewer = claim.renewer(ttl_s=0.002)  # a beat every 0.5 ms
+        try:
+            bodies = []
+            deadline = time.time() + 0.5
+            while time.time() < deadline:
+                bodies.append(claim.lease_path.read_bytes())
+        finally:
+            renewer.stop()
+            renewer.join(timeout=5)
+            sys.setswitchinterval(switch)
+        assert not renewer.is_alive()
+        assert len(bodies) > 100
+        assert all(json.loads(b)["owner"] == "w1" for b in bodies)
+
+
 # ---------------------------------------------------------------------------
 # store-rebuilt results
 
@@ -497,6 +540,137 @@ class TestServiceHTTP:
         assert not errors
         assert all(s in ("queued", "running", "done") for s in polls)
         assert client.status(record.job_id).state == "done"
+
+
+# ---------------------------------------------------------------------------
+# wake-ups: doorbells end idle waits early, polls remain the fallback
+
+
+def _worker_thread(root, stop, **kwargs):
+    """A ``run_worker`` thread, returned once it is listening for rings."""
+    thread = threading.Thread(target=run_worker, args=(root,),
+                              kwargs=dict(stop=stop, **kwargs), daemon=True)
+    thread.start()
+    wake = Path(root) / "wake"
+    deadline = time.time() + 10
+    while not list(wake.glob("*.fifo")):
+        assert time.time() < deadline, "worker never made its doorbell"
+        time.sleep(0.01)
+    time.sleep(0.2)  # past its first scan, into the idle wait
+    return thread
+
+
+class TestWakeUps:
+    def test_idle_worker_claims_fresh_submit_at_once(self, shared_cache_dir,
+                                                      tmp_path):
+        store = JobStore(tmp_path / "root")
+        stop = threading.Event()
+        thread = _worker_thread(store.root, stop, poll_s=5.0, max_points=1)
+        try:
+            submitted = time.time()
+            record = store.submit(tiny_spec())
+            for event in store.events(record.job_id).tail(timeout_s=10.0):
+                if event["event"] == "point_claimed":
+                    break
+            assert event["event"] == "point_claimed"
+            assert event["ts"] - submitted < 0.5
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
+    def test_tail_wakes_on_append(self, tmp_path):
+        path, wake = tmp_path / "events.jsonl", tmp_path / "wake"
+        ProgressLog(path, wake_dir=wake).emit("job_submitted")
+        writer = threading.Timer(
+            0.3, ProgressLog(path, wake_dir=wake).emit, args=("job_done",))
+        writer.start()
+        try:
+            seen = []
+            for record in ProgressLog(path, wake_dir=wake).tail(
+                    poll_s=5.0, done_events=TERMINAL_EVENTS,
+                    timeout_s=10.0):
+                seen.append((record["event"], time.time() - record["ts"]))
+        finally:
+            writer.join(timeout=5)
+        assert [kind for kind, _ in seen] == ["job_submitted", "job_done"]
+        assert seen[-1][1] < 0.5
+        assert not list(wake.glob("*.fifo")), "the tail's doorbell stays"
+
+    def test_no_mkfifo_falls_back_to_polling(self, shared_cache_dir, served,
+                                             monkeypatch):
+        def no_fifo(*args, **kwargs):
+            raise OSError(95, "Operation not supported")
+        monkeypatch.setattr(os, "mkfifo", no_fifo)
+        url, store = served
+        stop = threading.Event()
+        thread = threading.Thread(
+            target=run_worker, args=(store.root,),
+            kwargs={"poll_s": 0.05, "stop": stop}, daemon=True)
+        thread.start()
+        try:
+            client = SweepClient(url)
+            record = client.submit(tiny_spec())
+            kinds = [e["event"] for e in client.events(record.job_id,
+                                                       timeout_s=60.0)]
+            assert kinds[-1] == "job_done"
+            assert client.result_payload(record.job_id)["counts"][
+                "completed"] == 4
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert not list(store.root.rglob("*.fifo"))
+
+    def test_ring_skips_what_it_must_not_touch(self, tmp_path):
+        wake = tmp_path / "wake"
+        wake.mkdir()
+        os.mkfifo(wake / "dead.fifo")  # a listener that was SIGKILLed
+        (wake / "notes.fifo").write_bytes(b"keep me")
+        (wake / "link.fifo").symlink_to(wake / "dead.fifo")
+        with Doorbell(wake, "live") as bell:
+            ringer = threading.Thread(target=ring, args=(wake,),
+                                      daemon=True)
+            ringer.start()
+            ringer.join(timeout=5)
+            assert not ringer.is_alive(), "ring blocked"
+            started = time.monotonic()
+            bell.wait(5.0)
+            assert time.monotonic() - started < 0.5, "live bell not rung"
+        assert (wake / "notes.fifo").read_bytes() == b"keep me"
+        assert not (wake / "live.fifo").exists()
+        ring(tmp_path / "missing")  # no directory: nothing to do
+
+    def test_idle_worker_stops_promptly(self, tmp_path):
+        stop = threading.Event()
+        thread = _worker_thread(tmp_path / "root", stop, poll_s=5.0)
+        stop.set()
+        thread.join(timeout=0.2)
+        alive = thread.is_alive()
+        thread.join(timeout=10)
+        assert not alive, "idle worker ignored stop for its whole poll"
+
+    def test_idle_cli_worker_exits_promptly_on_sigterm(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker", "--root",
+             str(tmp_path), "--id", "idle", "--poll", "30"], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.time() + 30
+            while not list((tmp_path / "wake").glob("idle-*.fifo")):
+                assert time.time() < deadline, "worker never went idle"
+                assert proc.poll() is None, "worker died prematurely"
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=2)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        assert proc.returncode == 0
+        assert b"executed 0 point" in out
+        assert not list((tmp_path / "wake").glob("*.fifo"))
 
 
 # ---------------------------------------------------------------------------
@@ -998,6 +1172,53 @@ class TestHTTPTrustBoundary:
         url, _ = served
         _raw_request(url, "POST", "/v1/jobs", [("Content-Length", "-1")])
         assert SweepClient(url).ping()["schema"]
+
+    def test_idle_connection_is_closed(self, served, monkeypatch):
+        # A client that connects and never sends a request line must
+        # not hold a handler thread forever.
+        import socket
+        from repro.service.server import SweepServiceHandler
+        assert 0 < SweepServiceHandler.timeout <= 60
+        monkeypatch.setattr(SweepServiceHandler, "timeout", 0.3)
+        url, _ = served
+        host, port = url.rsplit("/", 1)[-1].split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            started = time.monotonic()
+            assert sock.recv(1) == b""  # the server hung up
+            assert time.monotonic() - started < 3.0
+        assert SweepClient(url).ping()["schema"]
+
+    def test_clients_hanging_up_print_nothing(self, served, capfd):
+        import http.client
+        import socket
+        import struct
+        from urllib.parse import urlparse
+        url, store = served
+        record = SweepClient(url).submit(tiny_spec())
+        target = urlparse(url)
+
+        def hang_up(path, read):
+            conn = http.client.HTTPConnection(target.hostname, target.port,
+                                              timeout=5)
+            conn.request("GET", path)
+            response = conn.getresponse()
+            read(response)
+            # Abortive close: the server sees ECONNRESET, not EOF.
+            conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                 struct.pack("ii", 1, 0))
+            conn.sock.close()
+
+        # A follower mid-stream, then a kept-alive connection reset
+        # while the server waits for its next request line.
+        hang_up(f"/v1/jobs/{record.job_id}/events?follow=1&heartbeat=0.05",
+                lambda response: response.read1(1))
+        hang_up("/v1/ping", lambda response: response.read())
+        time.sleep(0.5)  # let the handlers hit the dead sockets
+        assert SweepClient(url).ping()["schema"]
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "Error" not in err, err
+        assert not list(
+            (store.job_dir(record.job_id) / "wake").glob("*.fifo"))
 
 
 # ---------------------------------------------------------------------------
